@@ -41,6 +41,9 @@ func remoteStats(ctx context.Context, c *farm.Client, args []string, w io.Writer
 
 	fmt.Fprintf(w, "%s: %s  up %s  %d job(s), %d running, %d queued\nstore %s\n",
 		c.BaseURL, h.Status, formatSeconds(h.UptimeSeconds), h.Jobs, h.Running, h.QueueDepth, h.StorePath)
+	if line := fastWindowLine(samples); line != "" {
+		fmt.Fprintln(w, line)
+	}
 	if line := deltaRatioLine(samples); line != "" {
 		fmt.Fprintln(w, line)
 	}
@@ -59,6 +62,28 @@ func remoteStats(ctx context.Context, c *farm.Client, args []string, w io.Writer
 	fmt.Fprintln(w)
 	printSamples(w, samples)
 	return nil
+}
+
+// fastWindowLine summarizes the memory engine's fast-window table: the share
+// of checked runs' loads and stores that hit a window inline instead of
+// entering the slow path, over how many accesses. Empty before any checked
+// run has reported.
+func fastWindowLine(samples []obs.Sample) string {
+	var hits, misses float64
+	for _, s := range samples {
+		switch s.Name {
+		case "instantcheck_fastwindow_hits_total":
+			hits += s.Value
+		case "instantcheck_fastwindow_misses_total":
+			misses += s.Value
+		}
+	}
+	total := hits + misses
+	if total <= 0 {
+		return ""
+	}
+	return fmt.Sprintf("fast window: %.1f%% hit over %s accesses (%s slow-path)",
+		100*hits/total, formatMetric(total), formatMetric(misses))
 }
 
 // deltaRatioLine summarizes the dirty-page delta hasher's effectiveness:

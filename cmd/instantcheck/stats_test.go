@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -33,6 +35,10 @@ const statsExposition = `# HELP checkfarm_jobs_submitted_total Campaigns accepte
 checkfarm_jobs_submitted_total 2
 # TYPE instantcheck_stores_total counter
 instantcheck_stores_total{scheme="HW-InstantCheck_Inc"} 4228
+# TYPE instantcheck_fastwindow_hits_total counter
+instantcheck_fastwindow_hits_total 9300
+# TYPE instantcheck_fastwindow_misses_total counter
+instantcheck_fastwindow_misses_total 700
 # TYPE instantcheck_traverse_dirty_pages_total counter
 instantcheck_traverse_dirty_pages_total 150
 # TYPE instantcheck_traverse_live_pages_total counter
@@ -94,6 +100,46 @@ func TestRemoteStatsRendering(t *testing.T) {
 	}
 	if out.String() != statsExposition {
 		t.Errorf("-raw output differs from served exposition:\n%s", out.String())
+	}
+}
+
+// TestRemoteStatsGolden pins the whole rendered snapshot — header, summary
+// lines in order, then the sorted series — against a checked-in golden
+// file. The fake daemon's URL varies per run and is masked. The golden
+// regenerates with: go test ./cmd/instantcheck -run RemoteStatsGolden -update
+func TestRemoteStatsGolden(t *testing.T) {
+	c := statsDaemon(t, statsExposition)
+	var out bytes.Buffer
+	if err := remoteStats(context.Background(), c, nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	got := []byte(strings.ReplaceAll(out.String(), c.BaseURL, "http://daemon"))
+	golden := filepath.Join("testdata", "remote_stats.golden")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("stats output drifted from golden file %s:\n--- got ---\n%s\n--- want ---\n%s",
+			golden, got, want)
+	}
+}
+
+// TestRemoteStatsFastWindowAbsent: a daemon that has run nothing exports no
+// fast-window series, and the summary line stays out.
+func TestRemoteStatsFastWindowAbsent(t *testing.T) {
+	c := statsDaemon(t, "# TYPE checkfarm_jobs_submitted_total counter\ncheckfarm_jobs_submitted_total 0\n")
+	var out bytes.Buffer
+	if err := remoteStats(context.Background(), c, nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "fast window:") {
+		t.Errorf("idle daemon rendered a fast-window line:\n%s", out.String())
 	}
 }
 

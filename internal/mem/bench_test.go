@@ -42,9 +42,15 @@ func BenchmarkMemStoreLoad(b *testing.B) {
 		_ = sink
 	})
 
-	// Alternating between two distant blocks defeats both the fast window
-	// and the last-block cache on every access: the directory-walk floor.
+	// Alternating between two blocks whose pages share a fast-window slot
+	// defeats both the window table and the last-block cache on every
+	// access: the directory-walk floor.
+	m.AddrHook = func(string, int, int) (uint64, bool) { return blk.Base + winSlots*pageBytes, true }
 	far := m.Alloc("bench.far", blockWords, KindWord)
+	m.AddrHook = nil
+	for w := uint64(0); w < blockWords; w += PageWords {
+		m.Store(far.Base+w*WordSize, 1) // materialize, so misses install windows
+	}
 	b.Run("LoadSlowPath", func(b *testing.B) {
 		b.ReportAllocs()
 		var sink uint64

@@ -23,6 +23,16 @@
 // cache with page-granular owner metadata so the common sequential access
 // resolves in O(1); only cold misses fall back to binary search over the
 // sorted block table.
+//
+// Above all of that sits the fast-window table, the analogue of the L1 line
+// the paper's MHM reads Data_old from (§3.1): 64 windows, direct-mapped by
+// page number (slot = page number mod 64), each covering live words of one
+// Kind on one page — the accessed block ∩ page, widened across abutting
+// live blocks of the same kind. An access inside its slot's window is one
+// range check and an unchecked word access, small enough to inline into the
+// simulator (LoadFast, StoreFast, KindFast). The slow paths install windows;
+// Free drops every window that overlaps the freed block, including widened
+// windows that begin before the block's base.
 package mem
 
 import (
@@ -124,6 +134,35 @@ type leaf struct {
 	dirty [leafSize / 64]uint64
 }
 
+// winSlots is the size of the fast-window table. 64 page-indexed entries
+// cover the working sets of the heaviest kernels (ocean's leapfrog loop
+// touches nine arrays per iteration, per thread) while keeping the table at
+// a few KiB per run.
+const (
+	winBits  = 6
+	winSlots = 1 << winBits
+	winMask  = winSlots - 1
+)
+
+// window is one fast-window table entry: the byte range [base, base+len) of
+// live words of one Kind on one materialized page, with ptr pointing at the
+// backing word of base. dirty/mask address the page's dirty bit, so a
+// window-hit store marks its page with a single masked OR — the only
+// dirty-tracking cost on the inlined hit path. An empty entry has len 0,
+// which fails every range check; when len > 0, ptr points into a page kept
+// alive by the directory and dirty into that page's leaf.
+type window struct {
+	base  uint64
+	len   uint64
+	ptr   unsafe.Pointer
+	dirty *uint64
+	mask  uint64
+	kind  Kind
+}
+
+// winSlot returns the table slot of the page holding addr.
+func winSlot(addr uint64) uint64 { return (addr / pageBytes) & winMask }
+
 // zeroRun backs the word slices TraverseRuns hands out for words whose
 // backing page was never materialized (allocated but never stored to, hence
 // still zero). It must never be written.
@@ -165,27 +204,20 @@ type Memory struct {
 	// Pages are never unmapped, so this cache needs no invalidation.
 	cachePage     *page
 	cachePageBase uint64
-	// The fast window is the intersection of the last-resolved live block
-	// and its materialized page: [fastBase, fastBase+fastLen) in bytes,
-	// with fastWin pointing at the first backing word. Within it a
-	// Load/Store is one range check plus an unchecked word access — cheap
-	// enough that the compiler inlines the whole access into the
-	// simulator's instrumentation (the range check subsumes the bounds
-	// check a slice would repeat). fastWin always points into a page kept
-	// alive by the directory. Cleared when the owning block is freed.
-	fastBase uint64
-	fastLen  uint64
-	fastWin  unsafe.Pointer
-	// fastDirty/fastDirtyMask address the dirty bit of the fast window's
-	// page: a window-hit store marks its page with a single masked OR, the
-	// only dirty-tracking cost on the inlined hit path. Valid whenever
-	// fastLen > 0 (the window always maps a materialized page, whose leaf
-	// therefore exists).
-	fastDirty     *uint64
-	fastDirtyMask uint64
+	// wins is the fast-window table: winSlots windows, direct-mapped by
+	// page number (slot = pn mod winSlots), each covering a run of live
+	// same-kind words inside one materialized page (see window). Within a
+	// window a Load/Store is one range check plus an unchecked word access —
+	// cheap enough that the compiler inlines the whole access into the
+	// simulator's instrumentation (the range check subsumes the bounds check
+	// a slice would repeat). The table is machine-wide: page-indexed slots
+	// already keep the threads' working sets apart, so a thread switch
+	// neither saves nor discards anything. An entry is installed by the slow
+	// paths and dropped by Free when it overlaps the freed block.
+	wins [winSlots]window
 
 	// fastLoadMiss and fastStoreMiss count slow-path resolutions: accesses
-	// that fell through the fast window into loadSlow/storeSlow (including
+	// that missed the fast-window table into loadSlow/storeSlow (including
 	// checker-internal stores such as the zeroing on free). They exist for
 	// the observability layer's fast-window hit-rate metric and are plain
 	// fields deliberately: the window-hit path itself carries no counting,
@@ -298,12 +330,7 @@ func (m *Memory) Free(base uint64) *Block {
 	if m.cacheBlock == b {
 		m.cacheBlock = &noBlock
 	}
-	if m.fastLen > 0 && b.Contains(m.fastBase) {
-		// The fast window aliased the freed block: drop it so later
-		// accesses re-validate liveness through the slow path.
-		m.fastLen = 0
-		m.fastWin = nil
-	}
+	m.dropWindows(b)
 	m.clearOwners(b)
 	// The freed words leave the hashed state: their pages' contributions
 	// change (to zero, for pages the block covered fully), so the delta
@@ -317,9 +344,9 @@ func (m *Memory) Free(base uint64) *Block {
 // it is either a use-after-free or a wild read in the workload kernel.
 // The fast-window hit path inlines into the caller.
 func (m *Memory) Load(addr uint64) uint64 {
-	off := addr - m.fastBase
-	if off < m.fastLen && addr&7 == 0 {
-		return *(*uint64)(unsafe.Add(m.fastWin, off))
+	w := &m.wins[winSlot(addr)]
+	if off := addr - w.base; off < w.len && addr&7 == 0 {
+		return *(*uint64)(unsafe.Add(w.ptr, off))
 	}
 	return m.loadSlow(addr)
 }
@@ -329,9 +356,9 @@ func (m *Memory) Load(addr uint64) uint64 {
 // slow path. Unlike Load it fits the compiler's inline budget, so hot
 // instrumentation wrappers use it as a first probe and fall back to Load.
 func (m *Memory) LoadFast(addr uint64) (uint64, bool) {
-	off := addr - m.fastBase
-	if off < m.fastLen && addr&7 == 0 {
-		return *(*uint64)(unsafe.Add(m.fastWin, off)), true
+	w := &m.wins[winSlot(addr)]
+	if off := addr - w.base; off < w.len && addr&7 == 0 {
+		return *(*uint64)(unsafe.Add(w.ptr, off)), true
 	}
 	return 0, false
 }
@@ -341,7 +368,7 @@ func (m *Memory) loadSlow(addr uint64) uint64 {
 	m.checkLive(addr, "load")
 	v := m.loadRaw(addr)
 	if m.cachePage != nil && addr-m.cachePageBase < pageBytes {
-		m.setFastWindow(m.cacheBlock, addr/pageBytes, m.cachePage)
+		m.installWindow(m.cacheBlock, addr/pageBytes, m.cachePage)
 	}
 	return v
 }
@@ -350,12 +377,12 @@ func (m *Memory) loadSlow(addr uint64) uint64 {
 // the MHM reads from the L1 line before the update (§3.1). Storing outside
 // any live block panics. Like Load, the fast-window hit path inlines.
 func (m *Memory) Store(addr, value uint64) (old uint64) {
-	off := addr - m.fastBase
-	if off < m.fastLen && addr&7 == 0 {
-		p := (*uint64)(unsafe.Add(m.fastWin, off))
+	w := &m.wins[winSlot(addr)]
+	if off := addr - w.base; off < w.len && addr&7 == 0 {
+		p := (*uint64)(unsafe.Add(w.ptr, off))
 		old = *p
 		*p = value
-		*m.fastDirty |= m.fastDirtyMask
+		*w.dirty |= w.mask
 		return old
 	}
 	return m.storeSlow(addr, value)
@@ -366,13 +393,24 @@ func (m *Memory) Store(addr, value uint64) (old uint64) {
 // returns (0, false). Like LoadFast it exists to inline into per-access
 // instrumentation.
 func (m *Memory) StoreFast(addr, value uint64) (old uint64, ok bool) {
-	off := addr - m.fastBase
-	if off < m.fastLen && addr&7 == 0 {
-		p := (*uint64)(unsafe.Add(m.fastWin, off))
+	w := &m.wins[winSlot(addr)]
+	if off := addr - w.base; off < w.len && addr&7 == 0 {
+		p := (*uint64)(unsafe.Add(w.ptr, off))
 		old = *p
 		*p = value
-		*m.fastDirty |= m.fastDirtyMask
+		*w.dirty |= w.mask
 		return old, true
+	}
+	return 0, false
+}
+
+// KindFast reports the Kind of the live word at addr and true when addr
+// hits the fast-window table, and (0, false) otherwise. Windows are
+// kind-homogeneous, so a hit answers without resolving the block.
+func (m *Memory) KindFast(addr uint64) (Kind, bool) {
+	w := &m.wins[winSlot(addr)]
+	if addr-w.base < w.len {
+		return w.kind, true
 	}
 	return 0, false
 }
@@ -386,31 +424,67 @@ func (m *Memory) storeSlow(addr, value uint64) (old uint64) {
 	p[i] = value
 	pn := addr / pageBytes
 	m.markDirty(pn)
-	m.setFastWindow(m.cacheBlock, pn, p)
+	m.installWindow(m.cacheBlock, pn, p)
 	return old
 }
 
-// setFastWindow points the fast window at the intersection of block b
-// (which checkLive just resolved into the block cache) and the materialized
-// page pn backed by p.
-func (m *Memory) setFastWindow(b *Block, pn uint64, p *page) {
-	if b == nil || b == &noBlock {
+// installWindow points page pn's table slot at the live words around block
+// b (which checkLive just resolved into the block cache) on the
+// materialized page pn backed by p: b ∩ page, widened across abutting live
+// blocks of b's Kind so that a kernel striding over adjacent same-kind
+// arrays on one page keeps hitting one window. The widened window stays
+// kind-homogeneous and covers live words only; Free drops it if any of its
+// blocks goes.
+func (m *Memory) installWindow(b *Block, pn uint64, p *page) {
+	if b == &noBlock {
 		return
 	}
-	start := pn * pageBytes
-	end := start + pageBytes
-	if b.Base > start {
-		start = b.Base
+	pageStart := pn * pageBytes
+	pageEnd := pageStart + pageBytes
+	start, end := max(b.Base, pageStart), min(b.End(), pageEnd)
+	if start > pageStart || end < pageEnd {
+		i := sort.Search(len(m.order), func(i int) bool { return m.order[i].Base >= b.Base })
+		for j := i - 1; j >= 0 && start > pageStart; j-- {
+			n := m.order[j]
+			if !n.Live || n.Kind != b.Kind || n.End() != start {
+				break
+			}
+			start = max(n.Base, pageStart)
+		}
+		for j := i + 1; j < len(m.order) && end < pageEnd; j++ {
+			n := m.order[j]
+			if !n.Live || n.Kind != b.Kind || n.Base != end {
+				break
+			}
+			end = min(n.End(), pageEnd)
+		}
 	}
-	if be := b.End(); be < end {
-		end = be
-	}
-	m.fastBase = start
-	m.fastLen = end - start
-	m.fastWin = unsafe.Pointer(&p[(start%pageBytes)/WordSize])
 	lf := m.leafAt(pn) // non-nil: p is materialized, so its leaf exists
-	m.fastDirty = &lf.dirty[(pn&leafMask)>>6]
-	m.fastDirtyMask = 1 << (pn & 63)
+	m.wins[pn&winMask] = window{
+		base:  start,
+		len:   end - start,
+		ptr:   unsafe.Pointer(&p[(start%pageBytes)/WordSize]),
+		dirty: &lf.dirty[(pn&leafMask)>>6],
+		mask:  1 << (pn & 63),
+		kind:  b.Kind,
+	}
+}
+
+// dropWindows empties every table entry that overlaps the freed block b, so
+// later accesses to its words re-validate liveness through the slow path.
+// Only the slots of b's pages can hold such an entry; a block spanning the
+// whole table checks every slot once.
+func (m *Memory) dropWindows(b *Block) {
+	lo, hi := b.Base, b.End()
+	first, last := lo/pageBytes, (hi-1)/pageBytes
+	if last-first >= winSlots {
+		first, last = 0, winSlots-1
+	}
+	for pn := first; pn <= last; pn++ {
+		if w := &m.wins[pn&winMask]; w.len > 0 && w.base < hi && lo < w.base+w.len {
+			*w = window{}
+		}
+	}
 }
 
 // Peek reads a word without liveness checking (for snapshots and the

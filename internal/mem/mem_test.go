@@ -266,3 +266,106 @@ func TestKindString(t *testing.T) {
 		t.Error("kind strings")
 	}
 }
+
+// TestWindowMergesAbuttingSameKind checks that one window spans a run of
+// abutting same-kind blocks on a page, stops at a kind change, and is
+// dropped whole when any block under it is freed.
+func TestWindowMergesAbuttingSameKind(t *testing.T) {
+	m := New()
+	a := m.Alloc("a", 16, KindFloat)
+	b := m.Alloc("b", 16, KindFloat)
+	c := m.Alloc("c", 16, KindWord)
+	if b.Base != a.End() || c.Base != b.End() {
+		t.Fatalf("blocks do not abut: %#x %#x %#x", a.Base, b.Base, c.Base)
+	}
+	m.Store(a.Base, 1)
+	if _, ok := m.StoreFast(b.Base+8, 2); !ok {
+		t.Fatal("store to the abutting same-kind block missed the merged window")
+	}
+	if k, ok := m.KindFast(b.Base); !ok || k != KindFloat {
+		t.Fatalf("KindFast(b) = %v, %v; want float hit", k, ok)
+	}
+	if _, ok := m.LoadFast(c.Base); ok {
+		t.Fatal("window crossed a kind change")
+	}
+	if k, ok := m.KindFast(c.Base); ok {
+		t.Fatalf("KindFast(c) hit a float window with kind %v", k)
+	}
+	m.Free(b.Base)
+	for _, addr := range []uint64{a.Base, b.Base + 8} {
+		if _, ok := m.LoadFast(addr); ok {
+			t.Fatalf("LoadFast(%#x) hit after a block under the window was freed", addr)
+		}
+	}
+	if !panics(func() { m.Load(b.Base + 8) }) {
+		t.Fatal("load of the freed block did not panic")
+	}
+	if got := m.Load(a.Base); got != 1 {
+		t.Fatalf("surviving block reads %d, want 1", got)
+	}
+	if _, ok := m.LoadFast(a.Base + 15*WordSize); !ok {
+		t.Fatal("reinstalled window does not cover the surviving block")
+	}
+	if _, ok := m.LoadFast(b.Base); ok {
+		t.Fatal("reinstalled window extends over the freed block")
+	}
+}
+
+// TestWindowSlotAliasing checks two blocks winSlots pages apart, which share
+// one table slot: alternating accesses evict each other without mixing
+// values up, and freeing one leaves the other intact.
+func TestWindowSlotAliasing(t *testing.T) {
+	m := New()
+	a := m.Alloc("a", 8, KindWord)
+	const stride = winSlots * pageBytes
+	m.AddrHook = func(string, int, int) (uint64, bool) { return a.Base + stride, true }
+	b := m.Alloc("b", 8, KindWord)
+	m.AddrHook = nil
+	if winSlot(a.Base) != winSlot(b.Base) {
+		t.Fatalf("blocks at %#x and %#x do not share a slot", a.Base, b.Base)
+	}
+	for i := uint64(0); i < 8; i++ {
+		m.Store(a.Base+i*WordSize, 100+i)
+		m.Store(b.Base+i*WordSize, 200+i)
+	}
+	for i := uint64(0); i < 8; i++ {
+		if got := m.Load(a.Base + i*WordSize); got != 100+i {
+			t.Fatalf("a[%d] = %d", i, got)
+		}
+		if got := m.Load(b.Base + i*WordSize); got != 200+i {
+			t.Fatalf("b[%d] = %d", i, got)
+		}
+	}
+	m.Free(b.Base)
+	if _, ok := m.LoadFast(b.Base); ok {
+		t.Fatal("freed block still hits its slot")
+	}
+	if got := m.Load(a.Base + 3*WordSize); got != 103 {
+		t.Fatalf("a[3] = %d after freeing its slot-mate", got)
+	}
+}
+
+// TestFreeDropsWindowsInEverySlot frees blocks whose windows sit in slots
+// other than the last one used — every page of a block spanning more pages
+// than the table has slots included — and requires all of them to miss.
+func TestFreeDropsWindowsInEverySlot(t *testing.T) {
+	for _, pages := range []int{3, winSlots + 5} {
+		m := New()
+		big := m.Alloc("big", pages*pageWords, KindWord)
+		other := m.Alloc("other", 4, KindWord)
+		for p := 0; p < pages; p++ {
+			m.Store(big.Base+uint64(p)*pageBytes, uint64(p+1))
+		}
+		m.Store(other.Base, 7) // the last slot used belongs to another block
+		m.Free(big.Base)
+		for p := 0; p < pages; p++ {
+			addr := big.Base + uint64(p)*pageBytes
+			if _, ok := m.StoreFast(addr, 9); ok {
+				t.Fatalf("%d pages: StoreFast hit freed page %d", pages, p)
+			}
+		}
+		if got := m.Load(other.Base); got != 7 {
+			t.Fatalf("%d pages: surviving block reads %d", pages, got)
+		}
+	}
+}

@@ -75,6 +75,22 @@ func (r *reader) uvarint() uint64 {
 	return v
 }
 
+// count reads a declared element count and rejects it when the remaining
+// input is too short to hold that many elements of at least minBytes bytes
+// each. Decoders size their maps and slices from the result, so a forged
+// count can never make them allocate beyond what the input could fill.
+func (r *reader) count(minBytes int) uint64 {
+	n := r.uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if n > uint64(len(r.b)/minBytes) {
+		r.err = fmt.Errorf("replay: declared count %d exceeds what %d remaining bytes can encode", n, len(r.b))
+		return 0
+	}
+	return n
+}
+
 func (r *reader) string() string {
 	n := r.uvarint()
 	if r.err != nil {
@@ -128,7 +144,7 @@ func (l *AddrLog) MarshalBinary() ([]byte, error) {
 func UnmarshalAddrLog(b []byte) (*AddrLog, error) {
 	r := &reader{b: b}
 	r.magic(addrLogMagic)
-	n := r.uvarint()
+	n := r.count(3) // an entry is at least a site length, a seq and an addr
 	l := &AddrLog{addrs: make(map[addrKey]uint64, n)}
 	for i := uint64(0); i < n && r.err == nil; i++ {
 		site := r.string()
@@ -194,7 +210,7 @@ func (e *Env) MarshalBinary() ([]byte, error) {
 func UnmarshalEnv(b []byte) (*Env, error) {
 	r := &reader{b: b}
 	r.magic(envMagic)
-	n := r.uvarint()
+	n := r.count(3) // a stream is at least a tid, a name length and a count
 	e := &Env{
 		streams: make(map[envKey][]uint64, n),
 		cursor:  make(map[envKey]int, n),
@@ -202,7 +218,7 @@ func UnmarshalEnv(b []byte) (*Env, error) {
 	for i := uint64(0); i < n && r.err == nil; i++ {
 		tid := r.uvarint()
 		name := r.string()
-		vals := r.uvarint()
+		vals := r.count(1) // every value takes at least one byte
 		s := make([]uint64, 0, vals)
 		for j := uint64(0); j < vals && r.err == nil; j++ {
 			s = append(s, r.uvarint())

@@ -2,6 +2,8 @@ package replay
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -172,5 +174,47 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	}
 	if _, err := UnmarshalEnv(b); err == nil {
 		t.Error("addr log bytes accepted as env")
+	}
+}
+
+// TestUnmarshalRejectsForgedCounts: a few bytes declaring 2^27 entries must
+// be refused before any map or slice is sized from the count. Sizing first
+// would ask for gigabytes; the decoders must error out having allocated
+// next to nothing.
+func TestUnmarshalRejectsForgedCounts(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<27)
+	cat := func(parts ...[]byte) []byte {
+		var b []byte
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return b
+	}
+	cases := []struct {
+		name   string
+		blob   []byte
+		decode func([]byte) error
+	}{
+		{"addr log entries", cat([]byte(addrLogMagic), huge, []byte{0}),
+			func(b []byte) error { _, err := UnmarshalAddrLog(b); return err }},
+		{"env streams", cat([]byte(envMagic), huge, []byte{0, 0, 0, 0, 0}),
+			func(b []byte) error { _, err := UnmarshalEnv(b); return err }},
+		{"env stream values", cat([]byte(envMagic), []byte{1, 0, 0}, huge, []byte{0, 0}),
+			func(b []byte) error { _, err := UnmarshalEnv(b); return err }},
+	}
+	for _, c := range cases {
+		if len(c.blob) > 16 {
+			t.Fatalf("%s: forged blob is %d bytes, want a ~15-byte input", c.name, len(c.blob))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.decode(c.blob)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: forged count 2^27 accepted", c.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("%s: decoder allocated %d bytes before rejecting", c.name, grew)
+		}
 	}
 }

@@ -285,11 +285,12 @@ type Counters struct {
 	// engine once at run end, and the traversal numbers are bumped once per
 	// checkpoint sweep.
 
-	// FastLoadMisses and FastStoreMisses count accesses that fell through
-	// the memory engine's inline fast window into the slow path (store
-	// misses include checker-internal zeroing on free). Fast-window hits
-	// are derived as Loads+Stores minus misses; the hit path itself does
-	// no counting.
+	// FastLoadMisses and FastStoreMisses count accesses that missed the
+	// memory engine's fast-window table — no window in the slot of the
+	// address's page covered it — and entered the slow path, one count per
+	// slow-path entry (store misses include checker-internal zeroing on
+	// free). Fast-window hits are derived as Loads+Stores minus misses;
+	// the hit path itself does no counting.
 	FastLoadMisses  uint64
 	FastStoreMisses uint64
 	// TraverseRunsHashed counts the page-bounded runs the traversal scheme

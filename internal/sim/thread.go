@@ -267,7 +267,13 @@ func (t *Thread) store(addr, value uint64, isFP bool) {
 	}
 }
 
+// checkKind enforces the store-kind rule before the store is reported or
+// performed. A fast-window hit answers from the window's Kind; a miss or a
+// mismatch resolves the block, so a violation always panics from here.
 func (t *Thread) checkKind(addr uint64, isFP bool) {
+	if k, ok := t.mm.KindFast(addr); ok && (k == mem.KindFloat) == isFP {
+		return
+	}
 	b := t.mm.BlockAt(addr)
 	if b == nil {
 		return // Store will panic with a better message
