@@ -67,10 +67,6 @@ type JobSpec struct {
 	Hasher string `json:"hasher,omitempty"`
 	// RoundFP enables the FP round-off unit for the whole campaign.
 	RoundFP bool `json:"round_fp,omitempty"`
-	// StoreBufferWords sizes the per-thread store buffer of the
-	// incremental schemes: 0 picks the auto default, negative disables
-	// buffering (inline per-store hashing).
-	StoreBufferWords int `json:"store_buffer_words,omitempty"`
 	// Isolate applies the workload's small-structure ignore set (§2.2).
 	Isolate bool `json:"isolate,omitempty"`
 	// Small selects the reduced (unit-test scale) input.
@@ -167,7 +163,6 @@ func (s JobSpec) Resolve() (core.Campaign, core.Builder, error) {
 		Hasher:           hasher,
 		RoundFP:          s.RoundFP,
 		Ignore:           ignore,
-		StoreBufferWords: s.StoreBufferWords,
 	}.WithDefaults()
 	if err != nil {
 		return core.Campaign{}, nil, err

@@ -469,6 +469,10 @@ type CompareRequest struct {
 	LogB string `json:"log_b,omitempty"`
 }
 
+// maxJobSpecBytes bounds a POST /api/v1/jobs body; a JobSpec is a few
+// hundred bytes of JSON. A larger body is refused with 400.
+const maxJobSpecBytes = 64 << 10
+
 // Handler returns the HTTP API:
 //
 //	POST   /api/v1/jobs           submit a JobSpec, returns the Job
@@ -488,7 +492,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /metrics", s.reg.Handler())
 	mux.HandleFunc("POST /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes)).Decode(&spec); err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
 			return
 		}

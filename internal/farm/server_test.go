@@ -2,6 +2,8 @@ package farm
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -141,6 +143,33 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestOversizedJobSpecRejected posts a job spec body past maxJobSpecBytes:
+// it must be refused with a 4xx, and the daemon must go on serving.
+func TestOversizedJobSpecRejected(t *testing.T) {
+	_, c := startTestDaemon(t, filepath.Join(t.TempDir(), "farm.log"), Options{RunWorkers: 2})
+	// A valid spec padded with whitespace: only the bound can refuse it.
+	spec, err := json.Marshal(smokeSpec("fft", "mix64"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := "{" + strings.Repeat(" ", maxJobSpecBytes) + string(spec[1:])
+	resp, err := http.Post(c.BaseURL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode/100 != 4 {
+		t.Fatalf("oversized job spec: status %d, want 4xx", resp.StatusCode)
+	}
+	job, err := c.Submit(bg, smokeSpec("fft", "mix64"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, c, job.ID).State; st != JobDone {
+		t.Fatalf("job after oversized spec: state %s", st)
+	}
+}
+
 // TestServerCancel checks cancellation of a queued job (the daemon has one
 // job worker, so a second submission waits in the queue).
 func TestServerCancel(t *testing.T) {
@@ -230,11 +259,24 @@ func TestServerKilledAndRestarted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restarted daemon on the surviving store.
-	srv2, c2 := startTestDaemon(t, crashPath, Options{RunWorkers: 4})
-	if jl := srv2.store.Job(job.ID); len(jl.CompletedRuns()) != 3 {
+	// Count the surviving commits on a copy: the restarted daemon resumes
+	// as soon as it starts, and may commit more runs before a check on its
+	// own store could run.
+	probePath := filepath.Join(dir, "probe.log")
+	if err := os.WriteFile(probePath, []byte(prefix.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	probe, err := OpenStore(probePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jl := probe.Job(job.ID); len(jl.CompletedRuns()) != 3 {
 		t.Fatalf("crashed store has %v committed", jl.CompletedRuns())
 	}
+	probe.Close()
+
+	// Restarted daemon on the surviving store.
+	_, c2 := startTestDaemon(t, crashPath, Options{RunWorkers: 4})
 	resumed := waitDone(t, c2, job.ID)
 	if resumed.State != JobDone || resumed.Error != "" {
 		t.Fatalf("resumed job %s: %s", resumed.State, resumed.Error)

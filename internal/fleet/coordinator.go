@@ -461,6 +461,17 @@ func (c *Coordinator) blobData(digest string) []byte {
 	return nil
 }
 
+// Request body bounds; a larger body is refused with 400. Lease and
+// heartbeat requests are a few dozen bytes of JSON. A results batch holds up
+// to a worker's batch size of run records at ~250 bytes per checkpoint: the
+// largest 4-run batch of the 17-app fleet smoke (small inputs) is 23 KB,
+// and a full-size streamcluster 4-run batch (13,002 checkpoints a run) is
+// 3.2 MB, a tenth of maxResultsBytes.
+const (
+	maxControlBytes = 64 << 10
+	maxResultsBytes = 32 << 20
+)
+
 // Handler returns the fleet's worker-facing HTTP API, with full paths so it
 // mounts under /api/v1/fleet/ on the daemon's mux:
 //
@@ -472,7 +483,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/fleet/lease", func(w http.ResponseWriter, r *http.Request) {
 		var req leaseRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBytes)).Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad lease request: %w", err))
 			return
 		}
@@ -480,14 +491,14 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /api/v1/fleet/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req heartbeatRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBytes)).Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad heartbeat: %w", err))
 			return
 		}
 		writeJSON(w, http.StatusOK, heartbeatResponse{OK: c.heartbeat(req.LeaseID, req.Worker)})
 	})
 	mux.HandleFunc("POST /api/v1/fleet/results", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(r.Body)
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxResultsBytes))
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("read results: %w", err))
 			return

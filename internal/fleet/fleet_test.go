@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -614,5 +615,54 @@ func TestFleetMetricsGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("checkfleet metric families drifted from golden:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestOversizedBodiesRejected posts a body past each worker-facing
+// endpoint's bound: each must be refused with a 4xx, a full-size results
+// batch must still fit, and the coordinator must go on serving.
+func TestOversizedBodiesRejected(t *testing.T) {
+	hs := httptest.NewServer(NewCoordinator(CoordinatorOptions{}).Handler())
+	defer hs.Close()
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s (%d bytes): %v", path, len(body), err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, tc := range []struct {
+		path  string
+		limit int
+	}{
+		{"/api/v1/fleet/lease", maxControlBytes},
+		{"/api/v1/fleet/heartbeat", maxControlBytes},
+		{"/api/v1/fleet/results", maxResultsBytes},
+	} {
+		// Valid JSON padded with whitespace: only the bound can refuse it.
+		body := []byte("{" + strings.Repeat(" ", tc.limit) + `"worker":"w0"}`)
+		if code := post(tc.path, body); code/100 != 4 {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 4xx", tc.path, len(body), code)
+		}
+	}
+
+	// A 4-run batch the size of a full-size streamcluster shard's (13,002
+	// checkpoints a run) is accepted.
+	rec := RunRecord{Checkpoints: make([]CheckpointRecord, 13002)}
+	for i := range rec.Checkpoints {
+		rec.Checkpoints[i] = CheckpointRecord{Ordinal: i, Label: "barrier", SH: ^uint64(i)}
+	}
+	batch, err := json.Marshal(resultsRequest{LeaseID: "l1", Worker: "w0", Job: "j000001",
+		Records: []RunRecord{rec, rec, rec, rec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := post("/api/v1/fleet/results", batch); code != http.StatusOK {
+		t.Errorf("POST /api/v1/fleet/results with a %d-byte batch: status %d, want 200", len(batch), code)
+	}
+	if code := post("/api/v1/fleet/lease", []byte(`{"worker":"w0"}`)); code != http.StatusOK {
+		t.Errorf("lease after oversized bodies: status %d, want 200", code)
 	}
 }

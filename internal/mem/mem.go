@@ -30,7 +30,8 @@
 // Kind on one page — the accessed block ∩ page, widened across abutting
 // live blocks of the same kind. An access inside its slot's window is one
 // range check and an unchecked word access, small enough to inline into the
-// simulator (LoadFast, StoreFast, KindFast). The slow paths install windows;
+// simulator (LoadFast, StoreFast, KindFast); on a miss the caller enters
+// LoadSlow or StoreSlow, which resolve the block and install a window.
 // Free drops every window that overlaps the freed block, including widened
 // windows that begin before the block's base.
 package mem
@@ -217,7 +218,7 @@ type Memory struct {
 	wins [winSlots]window
 
 	// fastLoadMiss and fastStoreMiss count slow-path resolutions: accesses
-	// that missed the fast-window table into loadSlow/storeSlow (including
+	// that missed the fast-window table into LoadSlow/StoreSlow (including
 	// checker-internal stores such as the zeroing on free). They exist for
 	// the observability layer's fast-window hit-rate metric and are plain
 	// fields deliberately: the window-hit path itself carries no counting,
@@ -342,19 +343,17 @@ func (m *Memory) Free(base uint64) *Block {
 
 // Load returns the word at addr. Loading outside any live block panics:
 // it is either a use-after-free or a wild read in the workload kernel.
-// The fast-window hit path inlines into the caller.
 func (m *Memory) Load(addr uint64) uint64 {
-	w := &m.wins[winSlot(addr)]
-	if off := addr - w.base; off < w.len && addr&7 == 0 {
-		return *(*uint64)(unsafe.Add(w.ptr, off))
+	if v, ok := m.LoadFast(addr); ok {
+		return v
 	}
-	return m.loadSlow(addr)
+	return m.LoadSlow(addr)
 }
 
-// LoadFast is the window-hit-only form of Load: it returns the word and
-// true on a fast-window hit, and (0, false) otherwise without touching the
-// slow path. Unlike Load it fits the compiler's inline budget, so hot
-// instrumentation wrappers use it as a first probe and fall back to Load.
+// LoadFast is the window-hit half of Load: it returns the word and true on
+// a fast-window hit, and (0, false) otherwise without touching the slow
+// path. It fits the compiler's inline budget, so hot instrumentation
+// wrappers probe with it and fall back to LoadSlow.
 func (m *Memory) LoadFast(addr uint64) (uint64, bool) {
 	w := &m.wins[winSlot(addr)]
 	if off := addr - w.base; off < w.len && addr&7 == 0 {
@@ -363,7 +362,10 @@ func (m *Memory) LoadFast(addr uint64) (uint64, bool) {
 	return 0, false
 }
 
-func (m *Memory) loadSlow(addr uint64) uint64 {
+// LoadSlow is the miss half of Load: it resolves addr without probing the
+// fast-window table, installs a window for the next access, and counts
+// one slow-path load. Callers reach it after LoadFast missed.
+func (m *Memory) LoadSlow(addr uint64) uint64 {
 	m.fastLoadMiss++
 	m.checkLive(addr, "load")
 	v := m.loadRaw(addr)
@@ -375,20 +377,15 @@ func (m *Memory) loadSlow(addr uint64) uint64 {
 
 // Store writes value at addr and returns the previous value — the Data_old
 // the MHM reads from the L1 line before the update (§3.1). Storing outside
-// any live block panics. Like Load, the fast-window hit path inlines.
+// any live block panics.
 func (m *Memory) Store(addr, value uint64) (old uint64) {
-	w := &m.wins[winSlot(addr)]
-	if off := addr - w.base; off < w.len && addr&7 == 0 {
-		p := (*uint64)(unsafe.Add(w.ptr, off))
-		old = *p
-		*p = value
-		*w.dirty |= w.mask
+	if old, ok := m.StoreFast(addr, value); ok {
 		return old
 	}
-	return m.storeSlow(addr, value)
+	return m.StoreSlow(addr, value)
 }
 
-// StoreFast is the window-hit-only form of Store: on a fast-window hit it
+// StoreFast is the window-hit half of Store: on a fast-window hit it
 // performs the store and returns (old, true); otherwise it does nothing and
 // returns (0, false). Like LoadFast it exists to inline into per-access
 // instrumentation.
@@ -415,7 +412,10 @@ func (m *Memory) KindFast(addr uint64) (Kind, bool) {
 	return 0, false
 }
 
-func (m *Memory) storeSlow(addr, value uint64) (old uint64) {
+// StoreSlow is the miss half of Store: it performs the store without
+// probing the fast-window table, installs a window for the next access,
+// and counts one slow-path store. Callers reach it after StoreFast missed.
+func (m *Memory) StoreSlow(addr, value uint64) (old uint64) {
 	m.fastStoreMiss++
 	m.checkLive(addr, "store")
 	p := m.pageForStore(addr)

@@ -79,17 +79,6 @@ func FuzzEpochEqualsVectorClock(f *testing.F) {
 	})
 }
 
-// TestSelectedHonorsEnv pins the ICHECK_RACE_DETECTOR seam.
-func TestSelectedHonorsEnv(t *testing.T) {
-	if _, ok := Selected(2).(*Detector); !ok {
-		t.Errorf("default Selected() = %T, want *Detector", Selected(2))
-	}
-	t.Setenv(EnvDetector, "vc")
-	if _, ok := Selected(2).(*VCDetector); !ok {
-		t.Errorf("Selected() with %s=vc = %T, want *VCDetector", EnvDetector, Selected(2))
-	}
-}
-
 // TestReadSetSpill drives a word through inline read entries into the
 // spill map and back (a write clears it), checking the read-write races
 // and the stats accounting.

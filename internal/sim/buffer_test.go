@@ -128,19 +128,6 @@ func FuzzBufferedEqualsUnbatched(f *testing.F) {
 	})
 }
 
-// TestStoreBufferEnvPin checks ICHECK_STORE_BUFFER=off disables buffering
-// process-wide regardless of the config (the benchmark A/B pin).
-func TestStoreBufferEnvPin(t *testing.T) {
-	t.Setenv("ICHECK_STORE_BUFFER", "off")
-	res := runBufStream(t, SWInc, 0, 3, 4, replay.NewAddrLog())
-	if res.MHMStats.BufferFlushes != 0 {
-		t.Errorf("env pin ignored: %d flushes", res.MHMStats.BufferFlushes)
-	}
-	if res.Counters.StoreBufferFlushes != 0 {
-		t.Errorf("counters mirror shows %d flushes under pin", res.Counters.StoreBufferFlushes)
-	}
-}
-
 // TestStoreBufferSchemeGate checks the buffer only attaches to the true
 // incremental schemes: SW-InstantCheck_NonAtomic keeps its naive inline
 // instrumentation (its §4.1 race window must stay observable), and the

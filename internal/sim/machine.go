@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 
@@ -119,7 +118,7 @@ func (cfg Config) storeBufferWords() int {
 	if !cfg.Scheme.Incremental() || cfg.Scheme == SWIncNonAtomic {
 		return 0
 	}
-	if cfg.StoreBufferWords < 0 || os.Getenv("ICHECK_STORE_BUFFER") == "off" {
+	if cfg.StoreBufferWords < 0 {
 		return 0
 	}
 	if cfg.StoreBufferWords == 0 {

@@ -158,12 +158,10 @@ type Config struct {
 	// points before a forced drain through the scattered-batch hash kernel.
 	// The zero value selects the auto default (StoreBufferAutoWords); any
 	// negative value disables the buffer, restoring inline per-store
-	// hashing (the pre-buffer behavior; A/B benchmarks and differential
-	// tests use it). The buffer applies to the HWInc and SWInc schemes;
-	// SWIncNonAtomic always hashes inline, preserving its deliberate §4.1
-	// stale-read window unchanged. Setting ICHECK_STORE_BUFFER=off in the
-	// environment pins the buffer off process-wide (the interleaved-A/B
-	// hook, mirroring ICHECK_TRAVERSE_DELTA).
+	// hashing: the pre-buffer reference path the differential tests
+	// compare the buffered digests against. The buffer applies to the
+	// HWInc and SWInc schemes; SWIncNonAtomic always hashes inline,
+	// preserving its deliberate §4.1 stale-read window unchanged.
 	StoreBufferWords int
 	// TraverseDelta selects the traversal scheme's checkpoint strategy.
 	// The zero value (TraverseDeltaAuto) full-sweeps the first checkpoint

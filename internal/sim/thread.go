@@ -82,7 +82,7 @@ func (t *Thread) Load(addr uint64) uint64 {
 	if v, ok := t.mm.LoadFast(addr); ok {
 		return v
 	}
-	return t.mm.Load(addr)
+	return t.mm.LoadSlow(addr)
 }
 
 // LoadF reads the float64 at addr.
@@ -99,7 +99,7 @@ func (t *Thread) LoadF(addr uint64) float64 {
 	if v, ok := t.mm.LoadFast(addr); ok {
 		return math.Float64frombits(v)
 	}
-	return math.Float64frombits(t.mm.Load(addr))
+	return math.Float64frombits(t.mm.LoadSlow(addr))
 }
 
 // accessorFrames memoizes, per return-address pc, whether the frame belongs
@@ -259,7 +259,7 @@ func (t *Thread) store(addr, value uint64, isFP bool) {
 		t.yield()
 		old, ok := t.mm.StoreFast(addr, value)
 		if !ok {
-			old = t.mm.Store(addr, value)
+			old = t.mm.StoreSlow(addr, value)
 		}
 		if t.unit != nil {
 			t.unit.OnStore(addr, old, value, isFP)
