@@ -43,8 +43,8 @@
 //     available to aim at.
 //   - race-directed: spends the first runs under the happens-before race
 //     detector (racefilter), then preempts threads exactly at the racy
-//     sites it found (FindNondeterminism's directed mode behind the
-//     Strategy interface). The strongest searcher for atomicity and
+//     sites it found; static `icvet race` pairs passed as hints skip the
+//     detection runs. The strongest searcher for atomicity and
 //     order-violation windows — the Figure 7 bugs are all found within a
 //     handful of runs — at the cost of the detection-run overhead and of
 //     finding nothing extra when the program has no races.

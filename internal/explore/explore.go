@@ -33,9 +33,9 @@ type Options struct {
 	// InputSeed fixes the program's replayed input.
 	InputSeed int64
 	// SwitchInterval is the mean operation count between random forced
-	// preemptions for FindNondeterminism and strategy runs (<= 0 selects
-	// the scheduler default). Systematic ignores it: its decider controls
-	// switching through PreemptEvery.
+	// preemptions for Explore's strategy runs (<= 0 selects the scheduler
+	// default). Systematic ignores it: its decider controls switching
+	// through PreemptEvery.
 	SwitchInterval int
 	// ScheduleSeed is the base schedule seed: run i of a random-schedule
 	// search uses ScheduleSeed + i + 1, so repeated campaigns with

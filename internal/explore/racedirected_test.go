@@ -53,7 +53,7 @@ func TestRaceDirectedFindsWaterSPBug(t *testing.T) {
 	o := Options{Threads: 4, RoundFP: true, InputSeed: 1, SwitchInterval: 4000}
 	const maxRuns = 60
 
-	directed, err := FindNondeterminism(build, o, hints, maxRuns)
+	directed, err := Explore(build, o, RaceDirected(o.Threads, o.ScheduleSeed, hints), maxRuns, nil)
 	if err != nil {
 		t.Fatalf("directed search: %v", err)
 	}
@@ -64,7 +64,7 @@ func TestRaceDirectedFindsWaterSPBug(t *testing.T) {
 		t.Error("directed search fired no preemption hints: site matching is broken")
 	}
 
-	uniform, err := FindNondeterminism(build, o, nil, maxRuns)
+	uniform, err := Explore(build, o, Uniform(o.ScheduleSeed), maxRuns, nil)
 	if err != nil {
 		t.Fatalf("uniform search: %v", err)
 	}
@@ -85,7 +85,8 @@ func TestRaceDirectedCleanProgram(t *testing.T) {
 	build := func() sim.Program {
 		return apps.ByName("waterSP").Build(apps.Options{Threads: 4, Small: true})
 	}
-	res, err := FindNondeterminism(build, Options{Threads: 4, RoundFP: true, InputSeed: 1}, hints, 8)
+	o := Options{Threads: 4, RoundFP: true, InputSeed: 1}
+	res, err := Explore(build, o, RaceDirected(o.Threads, o.ScheduleSeed, hints), 8, nil)
 	if err != nil {
 		t.Fatalf("directed search: %v", err)
 	}

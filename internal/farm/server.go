@@ -469,9 +469,15 @@ type CompareRequest struct {
 	LogB string `json:"log_b,omitempty"`
 }
 
-// maxJobSpecBytes bounds a POST /api/v1/jobs body; a JobSpec is a few
-// hundred bytes of JSON. A larger body is refused with 400.
-const maxJobSpecBytes = 64 << 10
+// Request body bounds; a larger body is refused with 400. A JobSpec is a
+// few hundred bytes of JSON. A compare request carries up to two inline hash
+// logs: the largest real one, a full-size streamcluster campaign at default
+// settings (30 runs × 13,002 checkpoints), is 30,282,323 bytes of JSON when
+// sent inline on both sides, so maxCompareBytes leaves twice that.
+const (
+	maxJobSpecBytes = 64 << 10
+	maxCompareBytes = 64 << 20
+)
 
 // Handler returns the HTTP API:
 //
@@ -551,7 +557,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /api/v1/compare", func(w http.ResponseWriter, r *http.Request) {
 		var req CompareRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCompareBytes)).Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad compare request: %w", err))
 			return
 		}

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -12,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"instantcheck/internal/ihash"
 )
 
 // startTestDaemon wires a store into a served daemon and returns a client
@@ -167,6 +170,59 @@ func TestOversizedJobSpecRejected(t *testing.T) {
 	}
 	if st := waitDone(t, c, job.ID).State; st != JobDone {
 		t.Fatalf("job after oversized spec: state %s", st)
+	}
+}
+
+// TestOversizedCompareRejected posts a compare body past maxCompareBytes,
+// which must be refused with a 4xx, then one the size of the largest real
+// hash-log comparison, which must still be served.
+func TestOversizedCompareRejected(t *testing.T) {
+	_, c := startTestDaemon(t, filepath.Join(t.TempDir(), "farm.log"), Options{RunWorkers: 2})
+	post := func(body []byte) int {
+		t.Helper()
+		resp, err := http.Post(c.BaseURL+"/api/v1/compare", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST /api/v1/compare (%d bytes): %v", len(body), err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// A valid request padded with whitespace: only the bound can refuse it.
+	small := `"log_a":"0 0 0000000000000001 \"end\"\n","log_b":"0 0 0000000000000001 \"end\"\n"}`
+	if code := post([]byte("{" + strings.Repeat(" ", maxCompareBytes) + small)); code/100 != 4 {
+		t.Fatalf("oversized compare: status %d, want 4xx", code)
+	}
+
+	// A full-size streamcluster campaign's hash log (30 runs of 13,002
+	// checkpoints, with its label mix) inline on both sides.
+	var lines []HashLogLine
+	for run := 0; run < 30; run++ {
+		for ord := 0; ord < 13002; ord++ {
+			label := "sc.pgain"
+			switch {
+			case ord < 74:
+				label = "sc.speedy"
+			case ord == 13000:
+				label = "sc.final"
+			case ord == 13001:
+				label = "end"
+			}
+			lines = append(lines, HashLogLine{Run: run, Ordinal: ord, Label: label, SH: ihash.Digest(^uint64(ord))})
+		}
+	}
+	var log strings.Builder
+	if err := WriteHashLog(&log, lines); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(CompareRequest{LogA: log.String(), LogB: log.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) < 30_282_323 {
+		t.Fatalf("full-size body is %d bytes, smaller than the measured 30,282,323", len(body))
+	}
+	if code := post(body); code != http.StatusOK {
+		t.Fatalf("full-size compare (%d bytes): status %d, want 200", len(body), code)
 	}
 }
 

@@ -666,3 +666,89 @@ func TestOversizedBodiesRejected(t *testing.T) {
 		t.Errorf("lease after oversized bodies: status %d, want 200", code)
 	}
 }
+
+// TestResultsBatchesStayUnderBound feeds a worker's sender a shard whose
+// records are so large that a full BatchSize batch would exceed
+// maxResultsBytes: the sender must split it into POSTs that each fit, and
+// the coordinator must accept every run.
+func TestResultsBatchesStayUnderBound(t *testing.T) {
+	spec := fleetSpec("radix", 9)
+	_, runner, need := recordedRunner(t, spec)
+	c := NewCoordinator(CoordinatorOptions{ShardSize: len(need), LeaseTTL: time.Minute})
+	var mu sync.Mutex
+	delivered := map[int]int{}
+	var sizes []int64
+	deliver := func(run int, res *sim.Result) error {
+		mu.Lock()
+		defer mu.Unlock()
+		delivered[run]++
+		return nil
+	}
+	dispatchErr := make(chan error, 1)
+	go func() {
+		dispatchErr <- c.Dispatch(bg, "j000001", spec, runner, need, deliver)
+	}()
+	var li *LeaseInfo
+	for deadline := time.Now().Add(10 * time.Second); li == nil; {
+		if li = c.nextLease("w0"); li == nil {
+			if time.Now().After(deadline) {
+				t.Fatal("no lease granted")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	h := c.Handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/v1/fleet/results" {
+			mu.Lock()
+			sizes = append(sizes, r.ContentLength)
+			mu.Unlock()
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer hs.Close()
+	w, err := NewWorker(WorkerOptions{Name: "w0", Coordinator: hs.URL, CacheDir: t.TempDir(), BatchSize: len(li.Runs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// ~5.6 MB a record, so the shard's 8 records (~45 MB) would overrun the
+	// 32 MiB bound as one batch.
+	cps := make([]CheckpointRecord, 90000)
+	for i := range cps {
+		cps[i] = CheckpointRecord{Ordinal: i, Label: "sc.pgain", SH: ^uint64(i)}
+	}
+	records := make(chan RunRecord, len(li.Runs))
+	for _, run := range li.Runs {
+		records <- RunRecord{Run: run, Checkpoints: cps}
+	}
+	close(records)
+	if err := w.sendResults(bg, li, "miss", records); err != nil {
+		t.Fatalf("sendResults: %v", err)
+	}
+	select {
+	case err := <-dispatchErr:
+		if err != nil {
+			t.Fatalf("dispatch: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("dispatch never completed: runs were refused")
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(sizes) < 2 {
+		t.Errorf("%d results POSTs, want the shard split across at least 2", len(sizes))
+	}
+	for i, n := range sizes {
+		if n <= 0 || n >= maxResultsBytes {
+			t.Errorf("results POST %d is %d bytes, want under %d", i, n, maxResultsBytes)
+		}
+	}
+	for _, run := range li.Runs {
+		if delivered[run] != 1 {
+			t.Errorf("run %d delivered %d times, want 1", run, delivered[run])
+		}
+	}
+	t.Logf("%d runs in %d POSTs of %v bytes", len(li.Runs), len(sizes), sizes)
+}

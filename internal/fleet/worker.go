@@ -31,8 +31,9 @@ type WorkerOptions struct {
 	// PollInterval is the idle sleep between lease requests that found no
 	// work (<= 0 selects 100ms).
 	PollInterval time.Duration
-	// BatchSize is the number of run records per results POST (<= 0
-	// selects 4).
+	// BatchSize is the most run records per results POST (<= 0 selects 4).
+	// A batch is flushed early when one more record would take its body
+	// past the coordinator's results bound.
 	BatchSize int
 	// MaxInFlight bounds the run records buffered between the replay
 	// executor and the sender (in units of batches, <= 0 selects 2): when a
@@ -196,28 +197,47 @@ func (w *Worker) executeShard(ctx context.Context, li *LeaseInfo) {
 		w.o.Name, li.LeaseID, executed, len(li.Runs), fetch)
 }
 
+// resultsEnvelopeBytes is the room a results body keeps for everything but
+// its records: the lease, worker and job identities and the flags, a few
+// hundred bytes of JSON.
+const resultsEnvelopeBytes = maxControlBytes
+
+// encodedResults is a resultsRequest whose records are already encoded, so
+// sendResults sizes a batch without encoding it twice. Its Records field
+// shadows the embedded one on the wire.
+type encodedResults struct {
+	resultsRequest
+	Records []json.RawMessage `json:"records"`
+}
+
 // sendResults drains the record channel into batched POSTs, the final batch
-// flagged Done so the coordinator releases the lease promptly. A batch the
-// coordinator answers with lease_ok=false aborts the shard.
+// flagged Done so the coordinator releases the lease promptly. A batch holds
+// at most BatchSize records and is sent early when the next record would
+// take the body past maxResultsBytes, so large records never make a batch
+// the coordinator must refuse. A batch the coordinator answers with
+// lease_ok=false aborts the shard.
 func (w *Worker) sendResults(ctx context.Context, li *LeaseInfo, fetch string, records <-chan RunRecord) error {
 	first := true
-	var batch []RunRecord
+	var batch []json.RawMessage
+	batchBytes := 0 // encoded records plus their separating commas
 	flush := func(done bool) error {
 		if len(batch) == 0 && !done {
 			return nil
 		}
-		req := resultsRequest{
-			LeaseID: li.LeaseID,
-			Worker:  w.o.Name,
-			Job:     li.Job,
+		req := encodedResults{
+			resultsRequest: resultsRequest{
+				LeaseID: li.LeaseID,
+				Worker:  w.o.Name,
+				Job:     li.Job,
+				Done:    done,
+			},
 			Records: batch,
-			Done:    done,
 		}
 		if first {
 			req.Fetch = fetch
 			first = false
 		}
-		batch = batch[:0]
+		batch, batchBytes = batch[:0], 0
 		var resp resultsResponse
 		if err := w.post(ctx, "/api/v1/fleet/results", req, &resp); err != nil {
 			return err
@@ -227,15 +247,29 @@ func (w *Worker) sendResults(ctx context.Context, li *LeaseInfo, fetch string, r
 		}
 		return nil
 	}
-	for rec := range records {
-		batch = append(batch, rec)
-		if len(batch) >= w.o.BatchSize {
+	send := func(rec RunRecord) error {
+		enc, err := json.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		if batchBytes+len(enc)+1 > maxResultsBytes-resultsEnvelopeBytes {
 			if err := flush(false); err != nil {
-				// Drain so the executor never blocks on a dead sender.
-				for range records {
-				}
 				return err
 			}
+		}
+		batch = append(batch, enc)
+		batchBytes += len(enc) + 1
+		if len(batch) >= w.o.BatchSize {
+			return flush(false)
+		}
+		return nil
+	}
+	for rec := range records {
+		if err := send(rec); err != nil {
+			// Drain so the executor never blocks on a dead sender.
+			for range records {
+			}
+			return err
 		}
 	}
 	return flush(true)

@@ -43,8 +43,8 @@ func BenchmarkMemStoreLoad(b *testing.B) {
 	})
 
 	// Alternating between two blocks whose pages share a fast-window slot
-	// defeats both the window table and the last-block cache on every
-	// access: the directory-walk floor.
+	// misses the window table on every access, so each load pays the block
+	// lookup and the directory walk: the slow-path floor.
 	m.AddrHook = func(string, int, int) (uint64, bool) { return blk.Base + winSlots*pageBytes, true }
 	far := m.Alloc("bench.far", blockWords, KindWord)
 	m.AddrHook = nil

@@ -6,9 +6,9 @@ import "testing"
 // including reallocation at a previously freed base via AddrHook, the way
 // deterministic malloc replay places blocks — and checks every access
 // against a flat map model. It exists to catch stale reads through the
-// access caches (the last-block cache and the page-indexed fast-window
-// table), whose invalidation on Free and re-establishment on Alloc is the
-// subtle part of the memory engine's hot path.
+// page-indexed fast-window table and the page-owner metadata, whose
+// invalidation on Free and re-establishment on Alloc is the subtle part of
+// the memory engine's hot path.
 //
 // Bytes below 0x80 select the original seven operations, so the committed
 // seeds keep their meaning. Bytes from 0x80 up select the table-specific

@@ -18,13 +18,12 @@
 //
 // Because every simulated load and store funnels through this package, it is
 // the hottest layer of the whole system. The backing store is a two-level
-// dense page directory (pure slice indexing, no map hash per access) with a
-// one-entry page cache, and block lookup combines a one-entry last-block
-// cache with page-granular owner metadata so the common sequential access
-// resolves in O(1); only cold misses fall back to binary search over the
-// sorted block table.
+// dense page directory (pure slice indexing, no map hash per access). Block
+// lookup tries page-granular owner metadata first, which answers in O(1) for
+// every page a single block covers, and otherwise binary-searches the sorted
+// block table.
 //
-// Above all of that sits the fast-window table, the analogue of the L1 line
+// Above both sits the fast-window table, the analogue of the L1 line
 // the paper's MHM reads Data_old from (§3.1): 64 windows, direct-mapped by
 // page number (slot = page number mod 64), each covering live words of one
 // Kind on one page — the accessed block ∩ page, widened across abutting
@@ -195,16 +194,6 @@ type Memory struct {
 	order  []*Block
 	dead   int // tombstones currently in order
 
-	// cacheBlock is the last live block a lookup resolved to; sequential
-	// access patterns hit it without any search. It is never nil: when no
-	// block is cached it points at noBlock, whose Base makes every
-	// containment test fail, so BlockAt's probe needs no nil check.
-	// Invalidated (reset to &noBlock) on Free.
-	cacheBlock *Block
-	// cachePage/cachePageBase memoize the last materialized page touched.
-	// Pages are never unmapped, so this cache needs no invalidation.
-	cachePage     *page
-	cachePageBase uint64
 	// wins is the fast-window table: winSlots windows, direct-mapped by
 	// page number (slot = pn mod winSlots), each covering a run of live
 	// same-kind words inside one materialized page (see window). Within a
@@ -237,25 +226,18 @@ type Memory struct {
 
 	siteSeq map[string]int
 
-	liveWords   int
-	staticWords int
+	liveWords int
 }
 
 // New returns an empty memory.
 func New() *Memory {
 	return &Memory{
 		blocks:     make(map[uint64]*Block),
-		cacheBlock: &noBlock,
 		staticNext: StaticBase,
 		heapNext:   HeapBase,
 		siteSeq:    make(map[string]int),
 	}
 }
-
-// noBlock is the block cache's empty sentinel: its Base is chosen so that
-// addr - Base never falls inside any possible block extent, making the
-// cache probe in BlockAt fail without a nil check.
-var noBlock = Block{Base: ^uint64(0)}
 
 // AllocStatic reserves words in the static segment under the given site
 // label. Static memory is always part of the hashed program state.
@@ -267,7 +249,6 @@ func (m *Memory) AllocStatic(site string, words int, kind Kind) uint64 {
 	m.staticNext += roundUpWords(words)
 	b := &Block{Base: base, Words: words, Site: site, Kind: kind, Static: true, Live: true}
 	m.insertBlock(b)
-	m.staticWords += words
 	m.liveWords += words
 	m.zeroLive(base, words)
 	m.markDirtyRange(base, words)
@@ -328,9 +309,6 @@ func (m *Memory) Free(base uint64) *Block {
 	}
 	b.Live = false
 	m.retireOrder(b)
-	if m.cacheBlock == b {
-		m.cacheBlock = &noBlock
-	}
 	m.dropWindows(b)
 	m.clearOwners(b)
 	// The freed words leave the hashed state: their pages' contributions
@@ -367,12 +345,17 @@ func (m *Memory) LoadFast(addr uint64) (uint64, bool) {
 // one slow-path load. Callers reach it after LoadFast missed.
 func (m *Memory) LoadSlow(addr uint64) uint64 {
 	m.fastLoadMiss++
-	m.checkLive(addr, "load")
-	v := m.loadRaw(addr)
-	if m.cachePage != nil && addr-m.cachePageBase < pageBytes {
-		m.installWindow(m.cacheBlock, addr/pageBytes, m.cachePage)
+	b, i := m.lookup(addr)
+	if b == nil || addr%WordSize != 0 {
+		panic(accessFault("load", addr))
 	}
-	return v
+	pn := addr / pageBytes
+	lf := m.leafAt(pn)
+	if lf == nil || lf.pages[pn&leafMask] == nil {
+		return 0 // never stored to: reads zero, and no page to window
+	}
+	m.installWindow(b, i, pn, lf)
+	return lf.pages[pn&leafMask][(addr%pageBytes)/WordSize]
 }
 
 // Store writes value at addr and returns the previous value — the Data_old
@@ -417,49 +400,59 @@ func (m *Memory) KindFast(addr uint64) (Kind, bool) {
 // and counts one slow-path store. Callers reach it after StoreFast missed.
 func (m *Memory) StoreSlow(addr, value uint64) (old uint64) {
 	m.fastStoreMiss++
-	m.checkLive(addr, "store")
-	p := m.pageForStore(addr)
-	i := (addr % pageBytes) / WordSize
-	old = p[i]
-	p[i] = value
+	b, i := m.lookup(addr)
+	if b == nil || addr%WordSize != 0 {
+		panic(accessFault("store", addr))
+	}
 	pn := addr / pageBytes
-	m.markDirty(pn)
-	m.installWindow(m.cacheBlock, pn, p)
+	lf := m.leafFor(pn)
+	p := lf.pages[pn&leafMask]
+	if p == nil {
+		p = new(page)
+		lf.pages[pn&leafMask] = p
+	}
+	w := &p[(addr%pageBytes)/WordSize]
+	old, *w = *w, value
+	lf.dirty[(pn&leafMask)>>6] |= 1 << (pn & 63)
+	m.installWindow(b, i, pn, lf)
 	return old
 }
 
-// installWindow points page pn's table slot at the live words around block
-// b (which checkLive just resolved into the block cache) on the
-// materialized page pn backed by p: b ∩ page, widened across abutting live
-// blocks of b's Kind so that a kernel striding over adjacent same-kind
-// arrays on one page keeps hitting one window. The widened window stays
-// kind-homogeneous and covers live words only; Free drops it if any of its
-// blocks goes.
-func (m *Memory) installWindow(b *Block, pn uint64, p *page) {
-	if b == &noBlock {
-		return
+// accessFault is the panic message for a slow-path access to addr that is
+// misaligned or outside every live block.
+func accessFault(op string, addr uint64) string {
+	if addr%WordSize != 0 {
+		return fmt.Sprintf("mem: misaligned %s at %#x", op, addr)
 	}
+	return fmt.Sprintf("mem: %s at %#x outside any live block (use-after-free or wild access)", op, addr)
+}
+
+// installWindow points page pn's table slot at the live words around block
+// b, which lookup resolved at index i of order, on page pn materialized in
+// leaf lf: b ∩ page, widened across abutting live blocks of b's Kind so that
+// a kernel striding over adjacent same-kind arrays on one page keeps hitting
+// one window. The widened window stays kind-homogeneous and covers live
+// words only; Free drops it if any of its blocks goes. An owner-resolved
+// block (i == -1) covers the whole page, so neither walk starts.
+func (m *Memory) installWindow(b *Block, i int, pn uint64, lf *leaf) {
 	pageStart := pn * pageBytes
 	pageEnd := pageStart + pageBytes
 	start, end := max(b.Base, pageStart), min(b.End(), pageEnd)
-	if start > pageStart || end < pageEnd {
-		i := sort.Search(len(m.order), func(i int) bool { return m.order[i].Base >= b.Base })
-		for j := i - 1; j >= 0 && start > pageStart; j-- {
-			n := m.order[j]
-			if !n.Live || n.Kind != b.Kind || n.End() != start {
-				break
-			}
-			start = max(n.Base, pageStart)
+	for j := i - 1; j >= 0 && start > pageStart; j-- {
+		n := m.order[j]
+		if !n.Live || n.Kind != b.Kind || n.End() != start {
+			break
 		}
-		for j := i + 1; j < len(m.order) && end < pageEnd; j++ {
-			n := m.order[j]
-			if !n.Live || n.Kind != b.Kind || n.Base != end {
-				break
-			}
-			end = min(n.End(), pageEnd)
-		}
+		start = max(n.Base, pageStart)
 	}
-	lf := m.leafAt(pn) // non-nil: p is materialized, so its leaf exists
+	for j := i + 1; j < len(m.order) && end < pageEnd; j++ {
+		n := m.order[j]
+		if !n.Live || n.Kind != b.Kind || n.Base != end {
+			break
+		}
+		end = min(n.End(), pageEnd)
+	}
+	p := lf.pages[pn&leafMask]
 	m.wins[pn&winMask] = window{
 		base:  start,
 		len:   end - start,
@@ -489,45 +482,46 @@ func (m *Memory) dropWindows(b *Block) {
 
 // Peek reads a word without liveness checking (for snapshots and the
 // hash-erasure path on free).
-func (m *Memory) Peek(addr uint64) uint64 { return m.loadRaw(addr) }
+func (m *Memory) Peek(addr uint64) uint64 {
+	if p := m.pageAt(addr / pageBytes); p != nil {
+		return p[(addr%pageBytes)/WordSize]
+	}
+	return 0
+}
 
 // BlockAt returns the live block containing addr, or nil.
 func (m *Memory) BlockAt(addr uint64) *Block {
-	if b := m.cacheBlock; addr-b.Base < uint64(b.Words)*WordSize {
-		return b
-	}
-	return m.blockAtSlow(addr)
+	b, _ := m.lookup(addr)
+	return b
 }
 
-// blockAtSlow resolves addr when the last-block cache misses: first through
-// the page-owner metadata (O(1) for interior pages of large blocks), then by
-// binary search over the sorted block table.
-func (m *Memory) blockAtSlow(addr uint64) *Block {
+// lookup resolves addr to the live block containing it and that block's
+// index in order, or (nil, -1). Page-owner metadata answers first, in O(1)
+// for every page one block fully covers, with index -1: such a block has no
+// neighbour on the page. Otherwise a binary search over order finds it.
+func (m *Memory) lookup(addr uint64) (*Block, int) {
 	pn := addr / pageBytes
 	if lf := m.leafAt(pn); lf != nil {
 		if b := lf.owner[pn&leafMask]; b != nil {
-			m.cacheBlock = b
-			return b
+			return b, -1
 		}
 	}
 	i := sort.Search(len(m.order), func(i int) bool { return m.order[i].Base > addr })
 	// Walk left past tombstones: live blocks never overlap any retained
 	// block, so the nearest live predecessor is the only candidate.
-	for i > 0 {
-		b := m.order[i-1]
-		if b.Live {
-			if b.Contains(addr) {
-				m.cacheBlock = b
-				return b
-			}
-			return nil
-		}
+	for i--; i >= 0; i-- {
+		b := m.order[i]
 		if b.Contains(addr) {
-			return nil // inside a freed block: dead for sure
+			if b.Live {
+				return b, i
+			}
+			return nil, -1 // inside a freed block: dead for sure
 		}
-		i--
+		if b.Live {
+			return nil, -1
+		}
 	}
-	return nil
+	return nil, -1
 }
 
 // BlockByBase returns the block (live or freed) whose base is exactly base,
@@ -538,9 +532,6 @@ func (m *Memory) BlockByBase(base uint64) *Block { return m.blocks[base] }
 // heap) — the quantity SW-InstantCheck_Tr sweeps at each checkpoint.
 func (m *Memory) LiveWords() int { return m.liveWords }
 
-// StaticWords returns the size of the static segment in words.
-func (m *Memory) StaticWords() int { return m.staticWords }
-
 // FastPathStats returns the slow-path resolution counts: loads and stores
 // that missed the fast window. Together with the caller's total access
 // counts these yield the fast-window hit rate; the fast path itself does
@@ -549,23 +540,12 @@ func (m *Memory) FastPathStats() (loadMisses, storeMisses uint64) {
 	return m.fastLoadMiss, m.fastStoreMiss
 }
 
-// Traverse visits every word of the hashed state (static segment plus live
-// heap blocks) in ascending address order, calling fn(addr, value, kind).
-// This is the sweep SW-InstantCheck_Tr performs at each checkpoint. Hot
-// callers should prefer TraverseRuns, which amortizes the per-word closure
-// call over whole page runs.
-func (m *Memory) Traverse(fn func(addr, value uint64, kind Kind)) {
-	m.TraverseRuns(func(base uint64, words []uint64, kind Kind) {
-		for i, v := range words {
-			fn(base+uint64(i)*WordSize, v, kind)
-		}
-	})
-}
-
-// TraverseRuns visits every word of the hashed state in ascending address
-// order as maximal per-page runs: fn is called with the address of the first
-// word of the run and a slice aliasing the backing page (or the shared
-// all-zero run for words whose page was never materialized — see IsZeroRun).
+// TraverseRuns visits every word of the hashed state (static segment plus
+// live heap blocks) — the sweep SW-InstantCheck_Tr performs at each
+// checkpoint — in ascending address order as maximal per-page runs: fn is
+// called with the address of the first word of the run and a slice aliasing
+// the backing page (or the shared all-zero run for words whose page was
+// never materialized — see IsZeroRun).
 // The callback must treat words as read-only and must not retain it past the
 // call when it may later mutate memory; runs never cross a page boundary or
 // a block boundary.
@@ -583,11 +563,7 @@ func (m *Memory) TraverseRuns(fn func(base uint64, words []uint64, kind Kind)) {
 				chunkEnd = end
 			}
 			n := (chunkEnd - addr) / WordSize
-			var p *page
-			if lf := m.leafAt(pn); lf != nil {
-				p = lf.pages[pn&leafMask]
-			}
-			if p == nil {
+			if p := m.pageAt(pn); p == nil {
 				fn(addr, zeroRun[:n], b.Kind)
 			} else {
 				lo := (addr % pageBytes) / WordSize
@@ -763,13 +739,6 @@ func (m *Memory) clearOwners(b *Block) {
 	}
 }
 
-// markDirty sets the dirty bit of page pn. The page's leaf must exist
-// (callers mark pages they have just materialized or resolved).
-func (m *Memory) markDirty(pn uint64) {
-	lf := m.dir[pn>>leafBits]
-	lf.dirty[(pn&leafMask)>>6] |= 1 << (pn & 63)
-}
-
 // markDirtyRange marks every page overlapping [base, base+words*WordSize)
 // whose directory leaf exists. Pages under a missing leaf were never stored
 // to: every word there reads zero, so the page's state-hash contribution is
@@ -879,15 +848,6 @@ func (m *Memory) dirtyPageRuns(lf *leaf, pn uint64, run func(base uint64, words 
 	}
 }
 
-func (m *Memory) checkLive(addr uint64, op string) {
-	if addr%WordSize != 0 {
-		panic(fmt.Sprintf("mem: misaligned %s at %#x", op, addr))
-	}
-	if m.BlockAt(addr) == nil {
-		panic(fmt.Sprintf("mem: %s at %#x outside any live block (use-after-free or wild access)", op, addr))
-	}
-}
-
 // leafAt returns the directory leaf covering page pn, or nil.
 func (m *Memory) leafAt(pn uint64) *leaf {
 	di := pn >> leafBits
@@ -912,40 +872,12 @@ func (m *Memory) leafFor(pn uint64) *leaf {
 	return lf
 }
 
-func (m *Memory) loadRaw(addr uint64) uint64 {
-	if off := addr - m.cachePageBase; off < pageBytes && m.cachePage != nil {
-		return m.cachePage[off/WordSize]
+// pageAt returns the backing page pn, or nil if it was never materialized.
+func (m *Memory) pageAt(pn uint64) *page {
+	if lf := m.leafAt(pn); lf != nil {
+		return lf.pages[pn&leafMask]
 	}
-	pn := addr / pageBytes
-	lf := m.leafAt(pn)
-	if lf == nil {
-		return 0
-	}
-	p := lf.pages[pn&leafMask]
-	if p == nil {
-		return 0
-	}
-	m.cachePage = p
-	m.cachePageBase = pn * pageBytes
-	return p[(addr%pageBytes)/WordSize]
-}
-
-// pageForStore returns the materialized page backing addr, creating it (and
-// its leaf) on first touch.
-func (m *Memory) pageForStore(addr uint64) *page {
-	if off := addr - m.cachePageBase; off < pageBytes && m.cachePage != nil {
-		return m.cachePage
-	}
-	pn := addr / pageBytes
-	lf := m.leafFor(pn)
-	p := lf.pages[pn&leafMask]
-	if p == nil {
-		p = new(page)
-		lf.pages[pn&leafMask] = p
-	}
-	m.cachePage = p
-	m.cachePageBase = pn * pageBytes
-	return p
+	return nil
 }
 
 // zeroLive clears [base, base+words*WordSize) on materialized pages only:
@@ -961,11 +893,7 @@ func (m *Memory) zeroLive(base uint64, words int) {
 		if chunkEnd > end {
 			chunkEnd = end
 		}
-		var p *page
-		if lf := m.leafAt(pn); lf != nil {
-			p = lf.pages[pn&leafMask]
-		}
-		if p != nil {
+		if p := m.pageAt(pn); p != nil {
 			lo := (addr % pageBytes) / WordSize
 			hi := lo + (chunkEnd-addr)/WordSize
 			clear(p[lo:hi])

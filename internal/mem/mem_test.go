@@ -145,8 +145,8 @@ func mustPanic(t *testing.T, what string, f func()) {
 func TestLiveWordsAccounting(t *testing.T) {
 	m := New()
 	m.AllocStatic("s", 5, KindWord)
-	if m.LiveWords() != 5 || m.StaticWords() != 5 {
-		t.Fatalf("static: live=%d static=%d", m.LiveWords(), m.StaticWords())
+	if m.LiveWords() != 5 {
+		t.Fatalf("static: live=%d", m.LiveWords())
 	}
 	b := m.Alloc("h", 7, KindFloat)
 	if m.LiveWords() != 12 {
@@ -158,7 +158,7 @@ func TestLiveWordsAccounting(t *testing.T) {
 	}
 }
 
-// TestTraverseOrderAndContent checks Traverse visits exactly the live
+// TestTraverseOrderAndContent checks TraverseRuns visits exactly the live
 // words, in ascending address order, with the right kinds — determinism of
 // this order is what keeps traversal hashing reproducible.
 func TestTraverseOrderAndContent(t *testing.T) {
@@ -173,9 +173,11 @@ func TestTraverseOrderAndContent(t *testing.T) {
 
 	var addrs []uint64
 	var kinds []Kind
-	m.Traverse(func(addr, v uint64, k Kind) {
-		addrs = append(addrs, addr)
-		kinds = append(kinds, k)
+	m.TraverseRuns(func(base uint64, words []uint64, k Kind) {
+		for i := range words {
+			addrs = append(addrs, base+uint64(i)*WordSize)
+			kinds = append(kinds, k)
+		}
 	})
 	if len(addrs) != 3 { // 2 static + 1 live heap
 		t.Fatalf("visited %d words", len(addrs))
@@ -309,6 +311,52 @@ func TestWindowMergesAbuttingSameKind(t *testing.T) {
 	if _, ok := m.LoadFast(b.Base); ok {
 		t.Fatal("reinstalled window extends over the freed block")
 	}
+
+	// A first miss on the middle block of a same-kind run widens both ways
+	// from the index lookup resolved.
+	m = New()
+	run := abuttingFloats(t, m, 3)
+	m.Store(run[1].Base+8, 3)
+	for _, addr := range []uint64{run[0].Base, run[2].End() - WordSize} {
+		if _, ok := m.LoadFast(addr); !ok {
+			t.Fatalf("LoadFast(%#x) missed: a miss on the middle block did not cover the whole run", addr)
+		}
+	}
+
+	// Freed neighbours kept in order as tombstones stop the widening, even
+	// with live same-kind blocks abutting them further out.
+	m = New()
+	run = abuttingFloats(t, m, 5)
+	m.Free(run[1].Base)
+	m.Free(run[3].Base)
+	if len(m.order) != 5 {
+		t.Fatalf("order holds %d blocks, want 5 with two tombstones", len(m.order))
+	}
+	m.Store(run[2].Base, 4)
+	if _, ok := m.LoadFast(run[2].End() - WordSize); !ok {
+		t.Fatal("window does not cover the block it was installed for")
+	}
+	for _, addr := range []uint64{run[0].End() - WordSize, run[1].Base, run[3].Base, run[4].Base} {
+		if _, ok := m.LoadFast(addr); ok {
+			t.Fatalf("LoadFast(%#x) hit: the window widened past a tombstone", addr)
+		}
+	}
+}
+
+// abuttingFloats allocates n abutting 16-word KindFloat blocks on one page.
+func abuttingFloats(t *testing.T, m *Memory, n int) []*Block {
+	t.Helper()
+	run := make([]*Block, n)
+	for i := range run {
+		run[i] = m.Alloc("run", 16, KindFloat)
+		if i > 0 && run[i].Base != run[i-1].End() {
+			t.Fatalf("blocks %d and %d do not abut", i-1, i)
+		}
+	}
+	if run[0].Base/pageBytes != (run[n-1].End()-1)/pageBytes {
+		t.Fatal("run crosses a page boundary")
+	}
+	return run
 }
 
 // TestWindowSlotAliasing checks two blocks winSlots pages apart, which share
